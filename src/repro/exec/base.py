@@ -219,19 +219,19 @@ class WorkerContext:
                     f"task for client {task.cid} requests compression at ratio "
                     f"{task.ratio} but no compressors were configured"
                 )
+            compressor = self.compressors[task.cid]
+            # Only a compressor that itself advertises ``fixed_k`` takes
+            # ``out=``: the arena's plan is a guess from the configured
+            # compressor name, and any compressor may be swapped in.
             block = (
                 self.arena.compress_block(task.position)
-                if self.arena is not None
+                if self.arena is not None and getattr(compressor, "fixed_k", False)
                 else None
             )
             if block is not None:
-                update = self.compressors[task.cid].compress(
-                    res.delta, float(task.ratio), out=block
-                )
+                update = compressor.compress(res.delta, float(task.ratio), out=block)
             else:
-                update = self.compressors[task.cid].compress(
-                    res.delta, float(task.ratio)
-                )
+                update = compressor.compress(res.delta, float(task.ratio))
         compress_seconds = time.perf_counter() - t0
 
         return TaskResult(
