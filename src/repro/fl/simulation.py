@@ -1,17 +1,23 @@
 """The federated simulation engine — Algorithm 1 end to end.
 
 One :class:`Simulation` owns the dataset, partition, client pool, network
-links, global model and algorithm, and advances round by round:
+links, global model and algorithm, and the round core every protocol mode
+shares (:meth:`Simulation.run_round`):
 
-1. sample the client set ``S_t`` (Alg. 1 line 7);
-2. the algorithm plans ratios/coefficients (BCRS, Alg. 2);
-3. the selected clients train locally from ``w_t`` (lines 9–11, 21–27) and
-   compress their updates (line 12) — dispatched as independent tasks to a
+1. sample the client set ``S_t`` (Alg. 1 line 7) and let the algorithm plan
+   ratios/coefficients (BCRS, Alg. 2) — :meth:`Simulation._plan_cohort`;
+2. the cohort trains locally from ``w_t`` (lines 9–11, 21–27) and
+   compresses its updates (line 12) — dispatched as independent tasks to a
    pluggable execution backend (:mod:`repro.exec`: serial, thread pool, or
    forked process pool), all of which yield bit-identical seeded results;
-4. the round's communication times are scored with the Sec. 5.2 metrics;
-5. the server aggregates (lines 14–18, with the OPWA mask of Alg. 3 when
-   enabled) and evaluates the new global model.
+3. the round's transfers are priced and scored with the Sec. 5.2 metrics;
+4. the server folds the delivered updates (lines 14–18, with the OPWA mask
+   of Alg. 3 when enabled) — :meth:`Simulation._fold`;
+5. the round closes: evaluation, record, ledger — :meth:`Simulation._close`.
+
+The class's own collection policy is the synchronous barrier; the
+event-driven (:mod:`repro.simtime.protocols`) and hierarchical
+(:mod:`repro.hier`) modes replace only :meth:`Simulation._collect`.
 """
 
 from __future__ import annotations
@@ -203,8 +209,9 @@ class Simulation(EngineMixin):
 
         # The fused upload→aggregate arena: preallocated pack buffers, the
         # float64 accumulator and step scratch every round reuses, plus the
-        # double-buffered compressor banks. Compress-into-bank is gated to
-        # fixed-k compressors (their per-task output size is preplannable),
+        # double-buffered compressor banks. Compress-into-bank is planned for
+        # fixed-k compressors (their per-task output size is preplannable;
+        # the worker re-checks the instance that actually runs),
         # flat-sync protocols (update views must not outlive the double
         # buffer), and in-process backends (forked workers cannot see the
         # parent's post-fork block plans).
@@ -229,14 +236,163 @@ class Simulation(EngineMixin):
 
         self.history = History()
         self.round_index = 0
+        #: This round's per-endpoint bits: direction → {endpoint: bits}.
+        self._ledger: dict[str, dict[int, float]] = {}
         #: Sparse updates of the most recent round (for overlap analysis, Fig. 4).
         self.last_round_updates: list[CompressedUpdate] = []
 
         self._train_spec = TrainSpec.from_config(config)
 
+    # ------------------------------------------------------------ round core
+    # One round of every protocol: the link-drift step, then the mode's
+    # collection policy (:meth:`_collect`: who trains, from which model, and
+    # which uploads the server waits for), which sets up its cohorts with
+    # :meth:`_plan_cohort` and folds each aggregation point with
+    # :meth:`_fold`; then one :meth:`_close` records the round. Sync is a
+    # barrier over the sampled cohort, semisync a deadline with carryover or
+    # drop, async a K-completion buffer (repro.simtime.protocols), and hier
+    # a composition of per-edge rounds under a cloud fold (repro.hier).
+
+    def run_round(self) -> RoundRecord:
+        """Advance one communication round and return its record."""
+        with self.obs.tracer.span("round", cat="sim", round=self.round_index) as round_cm:
+            if self._varying is not None:
+                self.links = [tv.step() for tv in self._varying]
+            record = self._close(**self._collect())
+        if self.obs.enabled:
+            self._observe_round_end(round_cm)
+        return record
+
+    def _plan_cohort(self, selected):
+        """Cohort set-up: f_i = |D_i| / n over ``selected`` (Alg. 1 lines
+        8/13, read from the population columns so the parent never hydrates
+        clients), the algorithm's plan over their links, and one
+        :class:`ClientTask` per member in selection order."""
+        freqs = self.population.frequencies_of(selected)
+        with self.obs.tracer.span("plan", cat="sim"):
+            plan = self.algorithm.plan(
+                [self.links[i] for i in selected], freqs, self.volume_bits
+            )
+        tasks = [
+            ClientTask(
+                position=pos,
+                cid=int(cid),
+                ratio=None if plan.ratios is None else float(plan.ratios[pos]),
+            )
+            for pos, cid in enumerate(selected)
+        ]
+        return freqs, plan, tasks
+
+    @staticmethod
+    def _survivors(values, keep):
+        """``values`` at the ``keep`` positions, renormalized — unchanged
+        when every position survived (no renormalization, bit-for-bit)."""
+        if len(keep) == len(values):
+            return values
+        kept = np.asarray(values, dtype=np.float64)[keep]
+        total = kept.sum()
+        return kept / total if total > 0 else kept
+
+    def _fold(self, model, updates, weights, freqs, states, use_opwa=False, keep=None):
+        """Fold one aggregation point's members into ``model``.
+
+        ``model`` is ``(params, server_opt, buffers)``. ``updates``,
+        ``weights``, ``freqs`` and ``states`` (each member's persistent
+        buffers, e.g. BN running stats) align per member. ``keep`` lists the
+        members whose upload survived: their weights and frequencies are
+        renormalized when some were lost. When no member survives the round
+        is empty: params, buffers and the singleton diagnostic stay as they
+        were. ``updates=None`` folds whole models instead — the cloud tier
+        averages edge models, each member's ``states`` being its
+        ``[params, *buffers]``, into ``buffers`` by ``freqs``.
+
+        Returns (params, OPWA singleton fraction or None).
+        """
+        params, server_opt, buffers = model
+        if keep is not None:
+            if updates is not None:
+                updates = [updates[i] for i in keep]
+                weights = self._survivors(weights, keep)
+            states = [states[i] for i in keep]
+            freqs = self._survivors(freqs, keep)
+        if not states:
+            return params, None
+        singleton = None
+        with self.obs.tracer.span("aggregate", cat="sim", contributions=len(states)):
+            if updates is not None:
+                params, singleton = self._aggregate_into(
+                    params, server_opt, updates, weights, use_opwa
+                )
+            if buffers:
+                self._average_states_into(buffers, freqs, states)
+        return params, singleton
+
+    def _charge(self, direction: str, endpoint: int, bits: float) -> None:
+        """Add ``bits`` to this round's per-endpoint ledger (``"uplink"``,
+        ``"downlink"`` or ``"backhaul"``); :meth:`_close` turns it into the
+        record's :class:`RoundComm`."""
+        book = self._ledger.setdefault(direction, {})
+        book[endpoint] = book.get(endpoint, 0.0) + bits
+
+    def _close(
+        self,
+        *,
+        selected,
+        results,
+        times,
+        weights,
+        singleton,
+        sim_start,
+        sim_end,
+        ratio_updates,
+        dense_ratio: float | None = 1.0,
+        lags=(),
+        num_participants=None,
+        edge_breakdown=None,
+    ) -> RoundRecord:
+        """Evaluate on cadence, record the round and advance the clocks.
+
+        ``results`` are the task results the round aggregated or trained
+        (loss and wall-clock sums); the realized ratios are the densities of
+        ``ratio_updates``, a non-sparse update recording ``dense_ratio``
+        (``None`` leaves it out). ``lags`` are the aggregated updates'
+        model-version staleness.
+        """
+        if self._should_evaluate():
+            with self.obs.tracer.span("evaluate", cat="sim"):
+                test_acc = self.evaluate()
+        else:
+            test_acc = None
+        losses = [r.mean_loss for r in results]
+        record = RoundRecord(
+            round_index=self.round_index,
+            selected=tuple(int(c) for c in selected),
+            train_loss=float(np.mean(losses)) if losses else 0.0,
+            test_accuracy=test_acc,
+            times=times,
+            ratios=tuple(
+                float(u.density) if isinstance(u, SparseUpdate) else dense_ratio
+                for u in ratio_updates
+                if dense_ratio is not None or isinstance(u, SparseUpdate)
+            ),
+            weights=tuple(float(w) for w in weights),
+            singleton_fraction=singleton,
+            train_seconds=sum(r.train_seconds for r in results),
+            compress_seconds=sum(r.compress_seconds for r in results),
+            sim_start=sim_start,
+            sim_end=sim_end,
+            mean_staleness=float(np.mean(lags)) if lags else 0.0,
+            edge_breakdown=edge_breakdown,
+            comm=RoundComm.from_maps(**self._ledger),
+            num_participants=num_participants,
+        )
+        self._ledger = {}
+        self.history.append(record)
+        self.round_index += 1
+        self.sim_clock = sim_end
+        return record
+
     # ------------------------------------------------------- shared helpers
-    # (used by this synchronous round loop and by the event-driven
-    # protocols in repro.simtime.protocols — one copy of the semantics)
 
     def _should_evaluate(self) -> bool:
         """Evaluation cadence: every ``eval_every`` rounds plus the last."""
@@ -260,9 +416,8 @@ class Simulation(EngineMixin):
     ) -> tuple[np.ndarray, float | None]:
         """Alg. 1 lines 14–18 against an explicit (params, optimizer) pair.
 
-        Returns (stepped params, OPWA singleton-fraction diagnostic). The
-        flat protocol applies it to the global model; the hierarchical one
-        to each edge model, with the OPWA mask scoped to the edge's updates.
+        Returns (stepped params, OPWA singleton-fraction diagnostic), with
+        the OPWA mask scoped to ``updates``.
         """
         cfg = self.config
         mask = None
@@ -291,18 +446,6 @@ class Simulation(EngineMixin):
         )
         return stepped, singleton
 
-    def _aggregate_updates(
-        self, updates: list[CompressedUpdate], weights, use_opwa: bool
-    ) -> float | None:
-        """Alg. 1 lines 14–18: (masked) weighted sparse sum + server step.
-
-        Returns the OPWA singleton-fraction diagnostic (None when dense).
-        """
-        self.global_params, singleton = self._aggregate_into(
-            self.global_params, self.server_opt, updates, weights, use_opwa
-        )
-        return singleton
-
     @staticmethod
     def _average_states_into(targets: list[np.ndarray], freqs, state_arrays_per_client) -> None:
         """FedAvg ``state_arrays_per_client`` by ``freqs`` into ``targets``."""
@@ -311,12 +454,6 @@ class Simulation(EngineMixin):
             for f, states in zip(freqs, state_arrays_per_client):
                 acc += f * states[j]
             targets[j] = acc.astype(targets[j].dtype)
-
-    def _average_states(self, freqs, state_arrays_per_client) -> None:
-        """FedAvg the persistent buffers (BN running stats) by ``freqs``."""
-        if not self.global_states:
-            return
-        self._average_states_into(self.global_states, freqs, state_arrays_per_client)
 
     def _payload_for(self, update: CompressedUpdate | None, ratio: float | None) -> Payload:
         """What this dispatch puts on the wire.
@@ -398,11 +535,13 @@ class Simulation(EngineMixin):
         updates: list[CompressedUpdate] | None,
         t: float,
         tag: int,
-    ) -> tuple[list[float], list[float], list[float]]:
+    ) -> list[float]:
         """Price one synchronized batch of dispatches starting at ``t``.
 
-        Returns (per-dispatch pipeline durations, uplink bits, downlink
-        bits), aligned with ``selected``. Exclusive transports keep the
+        Returns the per-dispatch pipeline durations, aligned with
+        ``selected``, and charges every upload (and, when downlink
+        accounting is on, every broadcast) to the round's ledger.
+        Exclusive transports keep the
         historical per-link arithmetic bit-for-bit; fair transports admit
         every upload into one fresh ingress epoch and water-fill, so the
         round's finish times reflect server-side bandwidth sharing.
@@ -426,8 +565,6 @@ class Simulation(EngineMixin):
                 ends = [rec.end for rec in self.transport.resolve_uploads(flows)]
 
         durations: list[float] = []
-        up_bits: list[float] = []
-        down_bits: list[float] = []
         for pos, (cid, payload, down, train_t, up) in enumerate(staged):
             t0 = t + down
             self.spans.add(cid, "train", t0, t0 + train_t, tag=tag)
@@ -437,51 +574,20 @@ class Simulation(EngineMixin):
             else:
                 self.spans.add(cid, "upload", t0 + train_t, ends[pos], tag=tag)
                 durations.append(ends[pos] - t)
-            up_bits.append(payload.bits)
-            down_bits.append(self.volume_bits if cfg.include_downlink else 0.0)
-        return durations, up_bits, down_bits
+            self._charge("uplink", cid, payload.bits)
+            if cfg.include_downlink:
+                self._charge("downlink", cid, self.volume_bits)
+        return durations
 
-    @staticmethod
-    def _comm_maps(selected, bits_list) -> dict[int, float]:
-        """Accumulate a per-endpoint bits map (ids may repeat)."""
-        out: dict[int, float] = {}
-        for cid, bits in zip(selected, bits_list):
-            out[int(cid)] = out.get(int(cid), 0.0) + bits
-        return out
+    # ------------------------------------------------------ sync collection
 
-    # ------------------------------------------------------------------ round
-
-    def run_round(self) -> RoundRecord:
-        """Advance one communication round and return its record."""
-        cfg = self.config
+    def _collect(self) -> dict:
+        """The synchronous barrier: every sampled client trains from w_t,
+        and the round closes when the slowest aggregated upload lands."""
         tracer = self.obs.tracer
-        round_cm = tracer.span("round", cat="sim", round=self.round_index)
-        round_cm.__enter__()
         with tracer.span("sample", cat="sim"):
             selected = self.sampler.sample()
-        if self._varying is not None:
-            self.links = [tv.step() for tv in self._varying]
-        sel_links = [self.links[i] for i in selected]
-
-        # f_i = |D_i| / n over the selected set (Alg. 1 lines 8/13) — read
-        # from the population columns so the parent never hydrates clients
-        # (under the process backend, hydration belongs to the workers).
-        sizes = self.population.sizes_of(selected)
-        freqs = sizes / sizes.sum()
-
-        with tracer.span("plan", cat="sim"):
-            plan = self.algorithm.plan(sel_links, freqs, self.volume_bits)
-
-        # Local training + compression (lines 11–12): one task per selected
-        # client, dispatched to the configured execution backend.
-        tasks = [
-            ClientTask(
-                position=pos,
-                cid=int(cid),
-                ratio=None if plan.ratios is None else float(plan.ratios[pos]),
-            )
-            for pos, cid in enumerate(selected)
-        ]
+        freqs, plan, tasks = self._plan_cohort(selected)
         if self._exec_arena is not None:
             # Lay out this round's compressor output blocks (flipping the
             # double buffer, which keeps last_round_updates' views valid).
@@ -493,11 +599,10 @@ class Simulation(EngineMixin):
                     for t in tasks
                 ]
             )
+        # Local training + compression (lines 11–12) on the backend.
         results = self._run_tasks(
             tasks, self.global_params, self.global_states, self._train_spec
         )
-        train_seconds = sum(r.train_seconds for r in results)
-        compress_seconds = sum(r.compress_seconds for r in results)
         updates: list[CompressedUpdate] = [r.update for r in results]
 
         # Transport fault injection: decide each upload's fate — a pure
@@ -522,42 +627,18 @@ class Simulation(EngineMixin):
                 if trunc is not None:
                     wire_updates[pos] = trunc
         surv = [pos for pos, u in enumerate(delivered) if u is not None]
-        agg_updates = [delivered[pos] for pos in surv]
-        self.last_round_updates = agg_updates
+        self.last_round_updates = [delivered[pos] for pos in surv]
 
-        # OPWA mask (line 17), aggregation (lines 14/16/18), and FedAvg of
-        # the persistent buffers (BN running stats) — over the *delivered*
-        # cohort, weights renormalized when uploads were lost. A round that
-        # loses every upload is well-defined: the model and BN state are
-        # unchanged and the record carries num_participants=0.
-        with tracer.span("aggregate", cat="sim"):
-            if len(surv) == len(selected):
-                singleton = self._aggregate_updates(
-                    agg_updates, plan.weights, plan.use_opwa
-                )
-                self._average_states(freqs, [r.state_arrays for r in results])
-            elif surv:
-                w = np.asarray([plan.weights[pos] for pos in surv], dtype=np.float64)
-                if w.sum() > 0:
-                    w = w / w.sum()
-                singleton = self._aggregate_updates(agg_updates, w, plan.use_opwa)
-                f = freqs[surv]
-                self._average_states(
-                    f / f.sum(), [results[pos].state_arrays for pos in surv]
-                )
-            else:
-                singleton = None
-
-        if self._should_evaluate():
-            with tracer.span("evaluate", cat="sim"):
-                test_acc = self.evaluate()
-        else:
-            test_acc = None
-
-        realized = (
-            tuple(float(u.density) for u in updates if isinstance(u, SparseUpdate))
-            if plan.ratios is not None
-            else tuple(1.0 for _ in updates)
+        # OPWA mask (line 17), aggregation (lines 14/16/18) and BN averaging
+        # over the *delivered* cohort.
+        self.global_params, singleton = self._fold(
+            (self.global_params, self.server_opt, self.global_states),
+            delivered,
+            plan.weights,
+            freqs,
+            [r.state_arrays for r in results],
+            plan.use_opwa,
+            keep=surv,
         )
 
         # Virtual-clock span: the synchronous barrier releases when the
@@ -569,52 +650,36 @@ class Simulation(EngineMixin):
         # contention the round is one shared-ingress epoch.
         sim_start = self.sim_clock
         with tracer.span("transport.price", cat="net", dispatches=len(selected)):
-            durations, up_bits, down_bits = self._price_round(
+            durations = self._price_round(
                 selected, plan.ratios, wire_updates, sim_start, tag=self.round_index
             )
         # The barrier waits on delivered contributors; an all-lost round
         # still spans the slowest expected upload (the server's timeout).
         barrier = surv if surv else range(len(selected))
-        round_span = 0.0
-        for pos in barrier:
-            if plan.weights[pos] > 0:
-                round_span = max(round_span, durations[pos])
-        self.sim_clock = sim_start + round_span
-        comm = RoundComm.from_maps(
-            uplink=self._comm_maps(selected, up_bits),
-            downlink=self._comm_maps(selected, down_bits),
+        round_span = max(
+            (durations[pos] for pos in barrier if plan.weights[pos] > 0), default=0.0
         )
-
-        record = RoundRecord(
-            round_index=self.round_index,
-            selected=tuple(int(i) for i in selected),
-            train_loss=float(np.mean([r.mean_loss for r in results])),
-            test_accuracy=test_acc,
+        return dict(
+            selected=selected,
+            results=results,
             times=plan.times,
-            ratios=realized,
-            weights=tuple(float(w) for w in plan.weights),
-            singleton_fraction=singleton,
-            train_seconds=train_seconds,
-            compress_seconds=compress_seconds,
+            weights=plan.weights,
+            singleton=singleton,
             sim_start=sim_start,
-            sim_end=self.sim_clock,
-            mean_staleness=0.0,
-            comm=comm,
-            num_participants=(len(surv) if self.faults is not None else None),
+            sim_end=sim_start + round_span,
+            ratio_updates=updates,
+            dense_ratio=None if plan.ratios is not None else 1.0,
+            num_participants=len(surv) if self.faults is not None else None,
         )
-        self.history.append(record)
-        self.round_index += 1
-        round_cm.__exit__(None, None, None)
-        if self.obs.enabled:
-            self._observe_round_end(round_cm)
-        return record
 
-    def _observe_round_end(self, round_cm=None) -> None:
-        """Per-round metrics bookkeeping shared by every protocol loop."""
+    def _observe_round_end(self, round_cm) -> None:
+        """Per-round metrics: the round count, the wall-clock round rate
+        (when the tracer timed the round's span) and a snapshot."""
         metrics = self.obs.metrics
         metrics.counter("rounds_completed").inc()
-        if round_cm is not None and getattr(round_cm, "_t0", None) is not None:
-            wall = trace_clock() - round_cm._t0
+        t0 = getattr(round_cm, "_t0", None)
+        if t0 is not None:
+            wall = trace_clock() - t0
             if wall > 0:
                 metrics.gauge("rounds_per_second").set(1.0 / wall)
         metrics.snapshot(self.round_index - 1)

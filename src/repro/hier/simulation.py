@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressedUpdate, SparseUpdate
-from repro.exec import ClientTask
+from repro.compression.base import CompressedUpdate
 from repro.fl.config import ExperimentConfig
-from repro.fl.history import EdgeRecord, RoundComm, RoundRecord
+from repro.fl.history import EdgeRecord
 from repro.fl.simulation import Simulation
 from repro.hier.topology import TierTopology, build_tier_topology
 from repro.network.metrics import RoundTimes
@@ -47,7 +46,12 @@ _EPS = 1e-9
 
 
 class HierSimulation(Simulation):
-    """Two-tier federated rounds: per-edge sub-rounds + cloud averaging."""
+    """Two-tier federated rounds: per-edge sub-rounds + cloud averaging.
+
+    The collection policy composes edge rounds over the shared round core:
+    each sub-round sets up its cohort with :meth:`_plan_cohort` and folds
+    into its edge's model, then the cloud folds the whole edge models.
+    """
 
     #: ``last_round_updates`` accumulates across every (edge, sub-round)
     #: pair of a cloud round; one double-buffered bank per plan would be
@@ -97,45 +101,33 @@ class HierSimulation(Simulation):
         return np.sort(np.asarray(group)[ids])
 
     def _edge_sub_round(self, edge: int, t_start: float):
-        """One client↔edge sub-round: sample, plan, train, aggregate.
+        """One client↔edge sub-round: sample, plan, train, fold at the edge.
 
-        Returns (sub-round virtual span, plan times, record fragments).
-        ``t_start`` is the edge's current position on the virtual clock;
-        client spans are logged there.
+        Returns (sub-round virtual span, plan, selected, task results,
+        recorded weights, OPWA singleton fraction). ``t_start`` is the
+        edge's current position on the virtual clock; client spans are
+        logged there.
         """
         cfg = self.config
-        group = self.topology.groups[edge]
-        selected = self._sample_group(group)
-        sel_links = [self.links[i] for i in selected]
-
-        sizes = self.population.sizes_of(selected)
-        freqs = sizes / sizes.sum()
+        selected = self._sample_group(self.topology.groups[edge])
         # BCRS benchmarks against this group's own slowest member.
-        plan = self.algorithm.plan(sel_links, freqs, self.volume_bits)
-
-        tasks = [
-            ClientTask(
-                position=pos,
-                cid=int(cid),
-                ratio=None if plan.ratios is None else float(plan.ratios[pos]),
-            )
-            for pos, cid in enumerate(selected)
-        ]
+        freqs, plan, tasks = self._plan_cohort(selected)
         results = self._run_tasks(
             tasks, self._edge_params[edge], self._edge_states[edge], self._train_spec
         )
         updates: list[CompressedUpdate] = [r.update for r in results]
+        states = [r.state_arrays for r in results]
 
         # Price every dispatch at the edge's clock through the transport:
         # payload-accurate uploads, and under fair contention one shared
         # ingress epoch per (edge, sub-round) — each edge aggregator owns
         # its own ingress capacity.
-        durs, up_bits, down_bits = self._price_round(
-            selected, plan.ratios, updates, t_start, tag=self.round_index
+        durations = np.array(
+            self._price_round(selected, plan.ratios, updates, t_start, tag=self.round_index)
         )
-        durations = np.array(durs)
 
         weights = np.asarray(plan.weights, dtype=np.float64)
+        members = (updates, weights, freqs, states)
         if cfg.edge_sync == "semisync" and len(selected) > 1:
             # The edge closes at ``deadline_s`` (or, unset, at the deadline
             # quantile of its members' pipeline times); stragglers are
@@ -161,12 +153,16 @@ class HierSimulation(Simulation):
                 w[fastest] = 1.0
                 arrived[fastest] = True
             weights = w / w.sum()
+            # The edge aggregates the members it kept (nonzero weight) and
+            # averages BN state over every member that arrived.
             used = [pos for pos in range(len(selected)) if weights[pos] > 0]
             span = max(deadline, max(durations[pos] for pos in used))
-            agg_updates = [updates[pos] for pos in used]
-            agg_weights = weights[used]
-            state_freqs = freqs[arrived] / freqs[arrived].sum()
-            state_arrays = [r.state_arrays for r, a in zip(results, arrived) if a]
+            members = (
+                [updates[pos] for pos in used],
+                weights[used],
+                freqs[arrived] / freqs[arrived].sum(),
+                [st for st, a in zip(states, arrived) if a],
+            )
         else:
             # Lock-step barrier at the group's slowest *aggregated* member
             # (plan-dropped stragglers still burn device time but are not
@@ -175,56 +171,20 @@ class HierSimulation(Simulation):
                 (durations[pos] for pos in range(len(selected)) if weights[pos] > 0),
                 default=0.0,
             )
-            agg_updates = updates
-            agg_weights = weights
-            state_freqs = freqs
-            state_arrays = [r.state_arrays for r in results]
 
-        self._edge_params[edge], singleton = self._aggregate_into(
-            self._edge_params[edge],
-            self.edge_opts[edge],
-            agg_updates,
-            agg_weights,
+        self._edge_params[edge], singleton = self._fold(
+            (self._edge_params[edge], self.edge_opts[edge], self._edge_states[edge]),
+            *members,
             plan.use_opwa,
         )
-        if self._edge_states[edge]:
-            self._average_states_into(self._edge_states[edge], state_freqs, state_arrays)
-
-        realized = (
-            tuple(float(u.density) for u in updates if isinstance(u, SparseUpdate))
-            if plan.ratios is not None
-            else tuple(1.0 for _ in updates)
-        )
-        fragments = {
-            "selected": tuple(int(i) for i in selected),
-            "weights": tuple(float(w) for w in weights),
-            "ratios": realized,
-            "losses": [r.mean_loss for r in results],
-            "train_seconds": sum(r.train_seconds for r in results),
-            "compress_seconds": sum(r.compress_seconds for r in results),
-            "singleton": singleton,
-            "updates": updates,
-            "up_bits": up_bits,
-            "down_bits": down_bits,
-        }
-        return float(span), plan.times, fragments
+        return float(span), plan, selected, results, weights, singleton
 
     # ------------------------------------------------------------------ round
 
-    def run_round(self) -> RoundRecord:
+    def _collect(self) -> dict:
         """One cloud round: K₁ sub-rounds per edge, then cloud averaging."""
-        with self.obs.tracer.span("round", cat="sim", round=self.round_index):
-            record = self._cloud_round()
-        if self.obs.enabled:
-            self._observe_round_end()
-        return record
-
-    def _cloud_round(self) -> RoundRecord:
         cfg = self.config
         E = self.topology.num_edges
-        if self._varying is not None:
-            self.links = [tv.step() for tv in self._varying]
-
         sim_start = self.sim_clock
         # Edge-aggregator crash events: each edge fails this cloud round
         # with probability edge_crash_prob, decided by a counter-RNG draw
@@ -268,47 +228,36 @@ class HierSimulation(Simulation):
         down_sum = [0.0] * E
         selected_all: list[int] = []
         weights_all: list[float] = []
-        ratios_all: list[float] = []
-        losses_all: list[float] = []
+        results_all: list = []
         singletons: list[float] = []
         edge_selected: list[list[int]] = [[] for _ in range(E)]
-        train_seconds = compress_seconds = 0.0
-        round_updates: list[CompressedUpdate] = []
-        up_map: dict[int, float] = {}
-        down_map: dict[int, float] = {}
+        dense_ratio: float | None = 1.0
 
         # Sub-rounds advance lock-step across edges only in *stream order*:
         # edges are independent in virtual time (each has its own clock),
         # but the (sub-round, edge) iteration fixes the sampling sequence.
         for _k in range(cfg.edge_rounds):
-            for e in range(E):
-                if crashed[e]:
-                    continue
+            for e in alive:
                 with self.obs.tracer.span(
                     "hier.subround", cat="hier", edge=e, sub_round=_k
                 ):
-                    span, times, frag = self._edge_sub_round(e, sim_start + elapsed[e])
+                    span, plan, selected, results, weights, singleton = (
+                        self._edge_sub_round(e, sim_start + elapsed[e])
+                    )
                 elapsed[e] += span
                 sub_spans[e].append(span)
-                actual_sum[e] += times.actual
-                max_sum[e] += times.maximum
-                min_sum[e] += times.minimum
-                down_sum[e] += times.downlink
-                selected_all.extend(frag["selected"])
-                edge_selected[e].extend(frag["selected"])
-                weights_all.extend(frag["weights"])
-                ratios_all.extend(frag["ratios"])
-                losses_all.extend(frag["losses"])
-                if frag["singleton"] is not None:
-                    singletons.append(frag["singleton"])
-                train_seconds += frag["train_seconds"]
-                compress_seconds += frag["compress_seconds"]
-                round_updates.extend(frag["updates"])
-                for cid, bits in zip(frag["selected"], frag["up_bits"]):
-                    up_map[cid] = up_map.get(cid, 0.0) + bits
-                for cid, bits in zip(frag["selected"], frag["down_bits"]):
-                    down_map[cid] = down_map.get(cid, 0.0) + bits
-        self.last_round_updates = round_updates
+                actual_sum[e] += plan.times.actual
+                max_sum[e] += plan.times.maximum
+                min_sum[e] += plan.times.minimum
+                down_sum[e] += plan.times.downlink
+                selected_all.extend(int(i) for i in selected)
+                edge_selected[e].extend(int(i) for i in selected)
+                weights_all.extend(weights)
+                results_all.extend(results)
+                if singleton is not None:
+                    singletons.append(singleton)
+                dense_ratio = None if plan.ratios is not None else 1.0
+        self.last_round_updates = [r.update for r in results_all]
 
         # Edge→cloud uploads (dense edge models over the backhaul), then the
         # cloud averages edge models by group data size — two-level FedAvg.
@@ -336,52 +285,33 @@ class HierSimulation(Simulation):
                 for e in range(E)
             ]
         edge_totals = [elapsed[e] + backhaul_up[e] for e in range(E)]
-
-        backhaul_map: dict[int, float] = {}
         for e in alive:
             if self.topology.backhaul_links[e] is not None:
-                backhaul_map[e] = self.volume_bits * (2.0 if cfg.include_downlink else 1.0)
-
-        # Cloud merge over the surviving edges, reweighted by their share of
-        # the data. The no-crash path keeps edge_freqs bit-for-bit (no
-        # renormalization); an all-crashed round leaves the model unchanged.
-        if len(alive) == E:
-            freqs_alive = self.edge_freqs
-        elif alive:
-            freqs_alive = self.edge_freqs[alive]
-            freqs_alive = freqs_alive / freqs_alive.sum()
-        if alive:
-            merged = [self.global_params]  # the edge tier's averaging kernel,
-            self._average_states_into(  # applied once at the cloud tier
-                merged, freqs_alive, [[self._edge_params[e]] for e in alive]
-            )
-            self.global_params = merged[0]
-            if self.global_states:
-                self._average_states_into(
-                    self.global_states,
-                    freqs_alive,
-                    [self._edge_states[e] for e in alive],
+                self._charge(
+                    "backhaul", e, self.volume_bits * (2.0 if cfg.include_downlink else 1.0)
                 )
 
-        if self._should_evaluate():
-            with self.obs.tracer.span("evaluate", cat="sim"):
-                test_acc = self.evaluate()
-        else:
-            test_acc = None
+        # Cloud merge over the surviving edges, reweighted by their share of
+        # the data (the no-crash path keeps edge_freqs bit-for-bit): the
+        # edge tier's averaging kernel, applied once to whole edge models.
+        merged = [self.global_params, *self.global_states]
+        self._fold(
+            (None, None, merged),
+            None,
+            None,
+            self.edge_freqs,
+            [[self._edge_params[e], *self._edge_states[e]] for e in range(E)],
+            keep=alive,
+        )
+        self.global_params, self.global_states = merged[0], merged[1:]
 
         backhaul_s = [backhaul_up[e] + backhaul_down[e] for e in range(E)]
-        if alive:
-            times = RoundTimes(
-                actual=max(actual_sum[e] + backhaul_s[e] for e in alive),
-                maximum=max(max_sum[e] + backhaul_s[e] for e in alive),
-                minimum=min(min_sum[e] + backhaul_s[e] for e in alive),
-                downlink=max(down_sum[e] + backhaul_down[e] for e in alive),
-            )
-        else:
-            times = RoundTimes(0.0, 0.0, 0.0, 0.0)
-        round_span = max(edge_totals)
-        self.sim_clock = sim_start + round_span
-
+        times = RoundTimes(  # all zero when every edge crashed
+            actual=max((actual_sum[e] + backhaul_s[e] for e in alive), default=0.0),
+            maximum=max((max_sum[e] + backhaul_s[e] for e in alive), default=0.0),
+            minimum=min((min_sum[e] + backhaul_s[e] for e in alive), default=0.0),
+            downlink=max((down_sum[e] + backhaul_down[e] for e in alive), default=0.0),
+        )
         breakdown = tuple(
             EdgeRecord(
                 edge=e,
@@ -393,28 +323,18 @@ class HierSimulation(Simulation):
             )
             for e in range(E)
         )
-        record = RoundRecord(
-            round_index=self.round_index,
-            selected=tuple(selected_all),
-            train_loss=float(np.mean(losses_all)) if losses_all else 0.0,
-            test_accuracy=test_acc,
+        return dict(
+            selected=selected_all,
+            results=results_all,
             times=times,
-            ratios=tuple(ratios_all),
-            weights=tuple(weights_all),
-            singleton_fraction=float(np.mean(singletons)) if singletons else None,
-            train_seconds=train_seconds,
-            compress_seconds=compress_seconds,
+            weights=weights_all,
+            singleton=float(np.mean(singletons)) if singletons else None,
             sim_start=sim_start,
-            sim_end=self.sim_clock,
-            mean_staleness=0.0,
-            edge_breakdown=breakdown,
-            comm=RoundComm.from_maps(
-                uplink=up_map, downlink=down_map, backhaul=backhaul_map
-            ),
+            sim_end=sim_start + max(edge_totals),
+            ratio_updates=self.last_round_updates,
+            dense_ratio=dense_ratio,
             num_participants=(
                 len(selected_all) if cfg.edge_crash_prob > 0.0 else None
             ),
+            edge_breakdown=breakdown,
         )
-        self.history.append(record)
-        self.round_index += 1
-        return record

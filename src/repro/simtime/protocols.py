@@ -1,8 +1,8 @@
 """Event-driven federated protocols: async (FedBuff) and semi-sync rounds.
 
-Both protocols reuse the seeded construction of
-:class:`~repro.fl.simulation.Simulation` (data, partition, model, links,
-compressors, server optimizer) and replace the lock-step round loop with a
+Both protocols reuse the seeded construction and the round core of
+:class:`~repro.fl.simulation.Simulation` (cohort set-up, fold, close) and
+replace only its collection policy — the lock-step barrier — with a
 virtual clock:
 
 - a *dispatch* hands a client the current global model and runs its local
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.base import CompressedUpdate, SparseUpdate
+from repro.compression.base import CompressedUpdate
 from repro.exec import ClientTask, TaskResult
 from repro.fl.config import ExperimentConfig
-from repro.fl.history import RoundComm, RoundRecord
 from repro.fl.simulation import Simulation
 from repro.compression.sparsifiers import k_from_ratio
 from repro.network.metrics import RoundTimes
@@ -64,6 +63,7 @@ class _Pending:
     cid: int
     ratio: float | None
     version: int  # global-model version the client trained from
+    round: int  # round it was dispatched in (semisync's "fresh" test)
     t_dispatch: float
     t_arrival: float  # exclusive-link prediction; overwritten on contended pipes
     duration: float  # download + compute + upload (exclusive-link prediction)
@@ -81,7 +81,7 @@ class _Pending:
 
 
 class _EventDrivenSimulation(Simulation):
-    """Shared machinery: dispatch pipeline, staleness weighting, aggregation."""
+    """Shared machinery: dispatch pipeline, staleness weighting, window fold."""
 
     #: Carryover keeps a _Pending's update alive across aggregation windows
     #: (semisync ``late_policy="carryover"``), which outlives the arena's
@@ -97,16 +97,12 @@ class _EventDrivenSimulation(Simulation):
         # fair contention water-fills the in-flight flows.
         self._pipe = self.transport.pipe("server")
         self._flights: dict[int, _Pending] = {}  # flow id → in-flight dispatch
-        self._window_down: list[int] = []  # cids broadcast to since last record
         self.now = 0.0
         self.version = 0  # bumps once per aggregation
         self._untrained: list[_Pending] = []  # dispatched, training deferred
         #: Per-dispatch fault-fate sequence: dispatch order is deterministic,
         #: so (seq, cid) indexes a unique counter-RNG draw per upload.
         self._fault_seq = 0
-        #: Drop-fated arrivals since the last record: their bits were spent
-        #: on the wire (the ledger must charge them) but nothing aggregates.
-        self._window_lost: list[_Pending] = []
 
     # ------------------------------------------------------------- dispatch
 
@@ -165,6 +161,7 @@ class _EventDrivenSimulation(Simulation):
             cid=cid,
             ratio=ratio,
             version=self.version,
+            round=self.round_index,
             t_dispatch=t,
             t_arrival=t + duration,
             duration=duration,
@@ -188,7 +185,8 @@ class _EventDrivenSimulation(Simulation):
                 payload.bits, self.links[cid], up_start, finish=pend.t_arrival
             )
         self._flights[pend.fid] = pend
-        self._window_down.append(cid)
+        if self.config.include_downlink:
+            self._charge("downlink", cid, self.volume_bits)
         if self.obs.enabled:
             self.obs.metrics.gauge("ingress_depth").set(len(self._pipe))
         return pend
@@ -218,23 +216,6 @@ class _EventDrivenSimulation(Simulation):
                 pend.fate = "drop"
                 return None
         return pend.delivered
-
-    def _window_comm(self, contributions: list[_Pending]) -> RoundComm:
-        """Flow ledger of one aggregation window: contributed uplink bits,
-        bits spent by drop-fated uploads (transmitted, never aggregated),
-        plus (when downlink accounting is on) this window's broadcasts."""
-        up_map: dict[int, float] = {}
-        for p in contributions:
-            up_map[p.cid] = up_map.get(p.cid, 0.0) + p.payload.bits
-        for p in self._window_lost:
-            up_map[p.cid] = up_map.get(p.cid, 0.0) + p.payload.bits
-        self._window_lost = []
-        down_map: dict[int, float] = {}
-        if self.config.include_downlink:
-            for cid in self._window_down:
-                down_map[cid] = down_map.get(cid, 0.0) + self.volume_bits
-        self._window_down = []
-        return RoundComm.from_maps(uplink=up_map, downlink=down_map)
 
     def _flush_training(self) -> None:
         """Train every deferred dispatch, batched per aggregation window.
@@ -272,20 +253,20 @@ class _EventDrivenSimulation(Simulation):
 
     # ------------------------------------------------------------ aggregate
 
-    def _contribution_freqs(self, contributions: list[_Pending]) -> np.ndarray:
-        """Data frequencies f_i over the contributors (normalized)."""
-        sizes = self.population.sizes_of([p.cid for p in contributions])
-        return sizes / sizes.sum()
+    def _lags(self, contributions: list[_Pending]) -> list[int]:
+        """Model-version staleness of each contribution (0 = trained on
+        the current model)."""
+        return [self.version - p.version for p in contributions]
 
     def _staleness_weights(self, contributions: list[_Pending]) -> np.ndarray:
         """Data-frequency weights discounted by ``(1+s)^-a`` and normalized.
 
-        ``s`` is the model-version lag at aggregation time (0 = trained on
-        the current model); ``a`` is ``config.staleness_exponent`` —
-        FedBuff's ``1/sqrt(1+s)`` at the default 0.5.
+        ``s`` is the model-version lag at aggregation time; ``a`` is
+        ``config.staleness_exponent`` — FedBuff's ``1/sqrt(1+s)`` at the
+        default 0.5. Empty for an empty window.
         """
-        freqs = self._contribution_freqs(contributions)
-        lags = np.array([self.version - p.version for p in contributions], dtype=np.float64)
+        freqs = self.population.frequencies_of([p.cid for p in contributions])
+        lags = np.array(self._lags(contributions), dtype=np.float64)
         w = freqs * (1.0 + lags) ** (-self.config.staleness_exponent)
         return w / w.sum()
 
@@ -313,77 +294,44 @@ class _EventDrivenSimulation(Simulation):
             downlink=max(p.downlink for p in ranged),
         )
 
-    def _apply_aggregate(self, contributions: list[_Pending], weights: np.ndarray) -> tuple[float | None, list[CompressedUpdate]]:
-        """Server update from ``contributions``: masked sparse sum + opt step.
+    def _fold_window(
+        self, window: list[_Pending], contributions: list[_Pending], weights, **fields
+    ) -> dict:
+        """Fold a window's delivered updates into the global model and
+        return the round core's close arguments for it.
 
-        Returns (OPWA singleton fraction diagnostic, the updates used).
-        Mirrors the synchronous round's aggregation (Alg. 1 lines 14–18)
-        including persistent-buffer (BN) averaging.
+        Charges the uplink bits of every completed upload — contributions,
+        then drop-fated ones, whose bits were spent on the wire though
+        nothing aggregates — and bumps the model version when anything
+        was aggregated.
         """
+        lost = [p for p in window if p.fate == "drop"]
+        for p in contributions + lost:
+            self._charge("uplink", p.cid, p.payload.bits)
+        lags = self._lags(contributions)
         updates = [self._delivered_update(p) for p in contributions]
         self.last_round_updates = updates
-        with self.obs.tracer.span("aggregate", cat="sim", contributions=len(contributions)):
-            singleton = self._aggregate_updates(
-                updates, weights, getattr(self.algorithm, "use_opwa", False)
-            )
-            self._average_states(
-                self._contribution_freqs(contributions),
-                [p.result.state_arrays for p in contributions],
-            )
-        self.version += 1
-        return singleton, updates
-
-    def _record(
-        self,
-        *,
-        contributions: list[_Pending],
-        weights: np.ndarray,
-        updates: list[CompressedUpdate],
-        singleton: float | None,
-        times: RoundTimes,
-        sim_start: float,
-        sim_end: float,
-        selected: tuple[int, ...],
-    ) -> RoundRecord:
-        """Build/append the aggregation's record (evaluation on cadence)."""
-        lags = [self.version - 1 - p.version for p in contributions]
-        comm = self._window_comm(contributions)
-        if self._should_evaluate():
-            with self.obs.tracer.span("evaluate", cat="sim"):
-                test_acc = self.evaluate()
-        else:
-            test_acc = None
-        record = RoundRecord(
-            round_index=self.round_index,
-            selected=selected,
-            train_loss=(
-                float(np.mean([p.result.mean_loss for p in contributions]))
-                if contributions
-                else 0.0
-            ),
-            test_accuracy=test_acc,
-            times=times,
-            ratios=tuple(
-                float(u.density) if isinstance(u, SparseUpdate) else 1.0 for u in updates
-            ),
-            weights=tuple(float(w) for w in weights),
-            singleton_fraction=singleton,
-            train_seconds=sum(p.result.train_seconds for p in contributions),
-            compress_seconds=sum(p.result.compress_seconds for p in contributions),
-            sim_start=sim_start,
-            sim_end=sim_end,
-            mean_staleness=float(np.mean(lags)) if lags else 0.0,
-            comm=comm,
+        self.global_params, singleton = self._fold(
+            (self.global_params, self.server_opt, self.global_states),
+            updates,
+            weights,
+            self.population.frequencies_of([p.cid for p in contributions]),
+            [p.result.state_arrays for p in contributions],
+            getattr(self.algorithm, "use_opwa", False),
+        )
+        if updates:
+            self.version += 1
+        return dict(
+            results=[p.result for p in contributions],
+            weights=weights,
+            singleton=singleton,
+            ratio_updates=updates,
+            lags=lags,
             num_participants=(
                 len(contributions) if self.faults is not None else None
             ),
+            **fields,
         )
-        self.history.append(record)
-        self.round_index += 1
-        self.sim_clock = sim_end
-        if self.obs.enabled:
-            self._observe_round_end()
-        return record
 
     def _uniform_ratio(self) -> float | None:
         """Per-dispatch compression ratio: uniform CR* when the algorithm
@@ -462,12 +410,9 @@ class AsyncSimulation(_EventDrivenSimulation):
         self._dispatch(cid, self._uniform_ratio(), t)
         self._in_flight.add(cid)
 
-    def run_round(self) -> RoundRecord:
-        """Advance virtual time until K arrivals, then aggregate them."""
-        with self.obs.tracer.span("round", cat="sim", round=self.round_index):
-            return self._advance_window()
-
-    def _advance_window(self) -> RoundRecord:
+    def _collect(self) -> dict:
+        """The K-completion buffer: advance virtual time until K uploads
+        complete, then aggregate them with staleness-discounted weights."""
         if not self._primed:
             self._prime()
         K = self.config.async_buffer_size
@@ -495,27 +440,17 @@ class AsyncSimulation(_EventDrivenSimulation):
         # Deferred truncations resolve now that the updates exist; one that
         # yields nothing decodable degrades to a drop (dense updates, k < 1).
         contributions = [p for p in window if self._delivered_update(p) is not None]
-        self._window_lost.extend(p for p in window if p.fate == "drop")
-        if contributions:
-            weights = self._staleness_weights(contributions)
-            singleton, updates = self._apply_aggregate(contributions, weights)
-        else:
-            weights = np.empty(0, dtype=np.float64)
-            singleton, updates = None, []
         pool = contributions or window
-        times = self._comm_times(pool, pool)
-        record = self._record(
-            contributions=contributions,
-            weights=weights,
-            updates=updates,
-            singleton=singleton,
-            times=times,
-            sim_start=self._last_agg,
-            sim_end=self.now,
+        sim_start, self._last_agg = self._last_agg, self.now
+        return self._fold_window(
+            window,
+            contributions,
+            self._staleness_weights(contributions),
             selected=tuple(p.cid for p in window),
+            times=self._comm_times(pool, pool),
+            sim_start=sim_start,
+            sim_end=self.now,
         )
-        self._last_agg = self.now
-        return record
 
 
 class SemiSyncSimulation(_EventDrivenSimulation):
@@ -545,42 +480,22 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         chosen = self._rng.choice(len(idle), size=k, replace=False)
         return sorted(int(idle[i]) for i in chosen)
 
-    def run_round(self) -> RoundRecord:
-        with self.obs.tracer.span("round", cat="sim", round=self.round_index):
-            return self._advance_round()
-
-    def _advance_round(self) -> RoundRecord:
+    def _collect(self) -> dict:
+        """The deadline: dispatch idle clients, close at the deadline, and
+        carry late updates over (stale) or drop them."""
         cfg = self.config
         t0 = self.now
         selected = self._select()
-
-        if self._varying is not None:
-            self.links = [tv.step() for tv in self._varying]
 
         # Plan + train the round's fresh dispatches in one backend batch
         # (selection order = position order, per the exec contract).
         own: list[_Pending] = []
         plan_weights: dict[int, float] = {}
         if selected:
-            sel_links = [self.links[i] for i in selected]
-            sizes = self.population.sizes_of(selected)
-            freqs = sizes / sizes.sum()
-            plan = self.algorithm.plan(sel_links, freqs, self.volume_bits)
-            tasks = [
-                ClientTask(
-                    position=pos,
-                    cid=cid,
-                    ratio=None if plan.ratios is None else float(plan.ratios[pos]),
-                )
-                for pos, cid in enumerate(selected)
-            ]
-            results = self._train_now(tasks)
-            for pos, (cid, res) in enumerate(zip(selected, results)):
-                pend = self._dispatch(
-                    cid, None if plan.ratios is None else float(plan.ratios[pos]), t0, res
-                )
-                own.append(pend)
-                plan_weights[cid] = float(plan.weights[pos])
+            _, plan, tasks = self._plan_cohort(selected)
+            for task, res, w in zip(tasks, self._train_now(tasks), plan.weights):
+                own.append(self._dispatch(task.cid, task.ratio, t0, res))
+                plan_weights[task.cid] = float(w)
 
         # Deadline: fixed, or the quantile of this round's predicted finishes.
         if cfg.deadline_s is not None:
@@ -611,8 +526,9 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         # Drop-fated completions finished transmitting (the device is idle
         # again, its bits hit the ledger) but contribute nothing.
         contributions = [p for p in arrived if self._delivered_update(p) is not None]
-        self._window_lost.extend(p for p in arrived if p.fate == "drop")
-        own_arrived = {p.cid for p in arrived if p.version == self.version}
+        # "Fresh" means dispatched this round — a round identity, not the
+        # model version, which an empty round leaves unchanged.
+        own_arrived = {p.cid for p in arrived if p.round == self.round_index}
 
         # Late updates: carry over (device keeps uploading; its flow stays
         # in the ingress and the client stays busy) or drop (abandoned at
@@ -635,41 +551,29 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         # redistribute that mass. Mixing raw plan weights (normalized over
         # all *dispatched* clients) with stale_w directly would let a lone
         # carryover outweigh every on-time update.
-        if contributions:
-            stale_w = self._staleness_weights(contributions)
-            fresh = [j for j, p in enumerate(contributions) if p.version == self.version]
-            w = stale_w.copy()
-            if fresh:
-                pw = np.array(
-                    [plan_weights[contributions[j].cid] for j in fresh], dtype=np.float64
-                )
-                # The plan's zeros are exclusions (deadline_topk drops
-                # stragglers) and must stay zero here too — including a
-                # plan-dropped update at frequency weight would make sync and
-                # semisync disagree on aggregation *membership*, not just
-                # timing. All-zero fresh arrivals cede the round to carryovers.
-                w[fresh] = (
-                    stale_w[fresh].sum() * pw / pw.sum() if pw.sum() > 0 else 0.0
-                )
-            if w.sum() == 0:  # every contributor excluded and no carryovers
-                w = stale_w  # degenerate fallback, mirroring the plan's own
-            weights = w / w.sum()
-            singleton, updates = self._apply_aggregate(contributions, weights)
-        else:
-            # Every completed upload this window was lost in flight: a
-            # well-defined empty round — model and version unchanged.
-            weights = np.empty(0, dtype=np.float64)
-            singleton, updates = None, []
+        stale_w = self._staleness_weights(contributions)
+        fresh = [j for j, p in enumerate(contributions) if p.round == self.round_index]
+        w = stale_w.copy()
+        if fresh:
+            pw = np.array(
+                [plan_weights[contributions[j].cid] for j in fresh], dtype=np.float64
+            )
+            # The plan's zeros are exclusions (deadline_topk drops
+            # stragglers) and must stay zero here too — including a
+            # plan-dropped update at frequency weight would make sync and
+            # semisync disagree on aggregation *membership*, not just
+            # timing. All-zero fresh arrivals cede the round to carryovers.
+            w[fresh] = stale_w[fresh].sum() * pw / pw.sum() if pw.sum() > 0 else 0.0
+        if w.sum() == 0:  # every contributor excluded and no carryovers
+            w = stale_w  # degenerate fallback, mirroring the plan's own
 
-        times = self._comm_times(contributions or arrived, own)
         self.now = t_end
-        return self._record(
-            contributions=contributions,
-            weights=weights,
-            updates=updates,
-            singleton=singleton,
-            times=times,
+        return self._fold_window(
+            arrived,
+            contributions,
+            w / w.sum(),
+            selected=selected,
+            times=self._comm_times(contributions or arrived, own),
             sim_start=t0,
             sim_end=t_end,
-            selected=tuple(selected),
         )

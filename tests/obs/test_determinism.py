@@ -80,6 +80,16 @@ class TestTracingDeterminism:
         assert {"round", "sample", "exec.round", "aggregate"} <= names
         assert obs.metrics.value("rounds_completed") == 3
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_emits_round_rate(self, mode):
+        """The round core observes every round's end, so the wall-clock
+        round rate is a metric of every protocol, not only sync."""
+        obs = Obs(Tracer(), MetricsRegistry())
+        run_history(small_config(mode=mode, rounds=2), obs=obs)
+        assert obs.metrics.value("rounds_completed") == 2
+        assert obs.metrics.value("rounds_per_second") > 0
+        assert [s["round"] for s in obs.metrics.snapshots] == [0, 1]
+
     def test_metrics_only_obs_is_enabled(self):
         obs = Obs(metrics=MetricsRegistry())
         assert obs.enabled

@@ -288,6 +288,30 @@ class TestReviewRegressions:
                 tightened = True
         assert tightened  # the fix must bite on at least one round
 
+    def test_semisync_carryover_after_an_empty_round(self):
+        """An all-dropped round leaves the model version unchanged, so last
+        round's carryovers share this round's version. "Fresh" must mean
+        dispatched this round, or a carryover is looked up in this round's
+        plan (it used to raise KeyError in round 3)."""
+        cfg = ExperimentConfig(
+            mode="semisync",
+            algorithm="topk",
+            drop_prob=0.5,
+            num_clients=8,
+            num_train=400,
+            num_test=100,
+            seed=0,
+            rounds=6,
+        )
+        sim, h = run_sim(cfg)
+        assert len(h) == 6
+        assert h.records[0].num_participants == 0  # the empty round
+        assert sim.version == sum(1 for r in h.records if r.num_participants)
+        for r in h.records:
+            assert len(r.weights) == r.num_participants
+            if r.weights:
+                assert sum(r.weights) == pytest.approx(1.0)
+
 
 class TestBackendDeterminism:
     """Same seed ⇒ identical event order/records on every exec backend."""
