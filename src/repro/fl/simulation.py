@@ -244,23 +244,19 @@ class Simulation(EngineMixin):
         self._train_spec = TrainSpec.from_config(config)
 
     # ------------------------------------------------------------ round core
-    # One round of every protocol: the link-drift step, then the mode's
-    # collection policy (:meth:`_collect`: who trains, from which model, and
-    # which uploads the server waits for), which sets up its cohorts with
-    # :meth:`_plan_cohort` and folds each aggregation point with
-    # :meth:`_fold`; then one :meth:`_close` records the round. Sync is a
-    # barrier over the sampled cohort, semisync a deadline with carryover or
-    # drop, async a K-completion buffer (repro.simtime.protocols), and hier
-    # a composition of per-edge rounds under a cloud fold (repro.hier).
+    # Every mode runs run_round; a mode differs only in its collection
+    # policy (_collect), which sets up cohorts with _plan_cohort and folds
+    # each aggregation point with _fold. One _close records the round.
 
     def run_round(self) -> RoundRecord:
         """Advance one communication round and return its record."""
-        with self.obs.tracer.span("round", cat="sim", round=self.round_index) as round_cm:
+        t0 = trace_clock()
+        with self.obs.tracer.span("round", cat="sim", round=self.round_index):
             if self._varying is not None:
                 self.links = [tv.step() for tv in self._varying]
             record = self._close(**self._collect())
         if self.obs.enabled:
-            self._observe_round_end(round_cm)
+            self._observe_round_end(trace_clock() - t0)
         return record
 
     def _plan_cohort(self, selected):
@@ -285,8 +281,9 @@ class Simulation(EngineMixin):
 
     @staticmethod
     def _survivors(values, keep):
-        """``values`` at the ``keep`` positions, renormalized — unchanged
-        when every position survived (no renormalization, bit-for-bit)."""
+        """``values`` at the ``keep`` positions, renormalized. Returned
+        unchanged when every position survived: renormalizing an already
+        normalized vector can move its last bits."""
         if len(keep) == len(values):
             return values
         kept = np.asarray(values, dtype=np.float64)[keep]
@@ -672,16 +669,13 @@ class Simulation(EngineMixin):
             num_participants=len(surv) if self.faults is not None else None,
         )
 
-    def _observe_round_end(self, round_cm) -> None:
+    def _observe_round_end(self, wall: float) -> None:
         """Per-round metrics: the round count, the wall-clock round rate
-        (when the tracer timed the round's span) and a snapshot."""
+        and a snapshot."""
         metrics = self.obs.metrics
         metrics.counter("rounds_completed").inc()
-        t0 = getattr(round_cm, "_t0", None)
-        if t0 is not None:
-            wall = trace_clock() - t0
-            if wall > 0:
-                metrics.gauge("rounds_per_second").set(1.0 / wall)
+        if wall > 0:
+            metrics.gauge("rounds_per_second").set(1.0 / wall)
         metrics.snapshot(self.round_index - 1)
 
     def run(self, rounds: int | None = None) -> History:

@@ -95,6 +95,7 @@ class TestTracingDeterminism:
         assert obs.enabled
         run_history(small_config(rounds=1), obs=obs)
         assert obs.metrics.value("tasks_executed") == 3  # 6 clients * 0.5
+        assert obs.metrics.value("rounds_per_second") > 0
 
     def test_null_obs_records_nothing(self):
         assert not NULL_OBS.enabled
